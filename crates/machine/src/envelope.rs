@@ -41,14 +41,13 @@ pub struct Envelope<M> {
     /// (one merge per wire envelope). Checker metadata is metrologically
     /// invisible: it contributes nothing to `bytes` or any cost charge.
     pub vc: Option<std::sync::Arc<[u64]>>,
-    /// The sender's protocol-switch epoch at injection: how many adaptive
-    /// protocol switches the sender had committed when this message left.
-    /// Like [`Envelope::vc`] it is metrologically invisible (zero bytes,
-    /// zero cost charges); receivers max-merge it so a node always knows
-    /// the newest epoch any peer has reached, and debug builds assert no
-    /// message arrives from more than one switch in the future — the
-    /// two-barrier switch handshake makes that impossible for a coherent
-    /// engine.
+    /// The sender's protocol-switch epoch at injection: how many protocol
+    /// switches the sender had committed when this message left. Like
+    /// [`Envelope::vc`] it is metrologically invisible (zero bytes, zero
+    /// cost charges). A receiver holds a message from a later epoch until
+    /// it commits that switch itself, and debug builds assert no message
+    /// arrives from more than one switch in the future — the two-barrier
+    /// switch handshake makes that impossible for a coherent engine.
     pub sw: u64,
     /// Wire bytes — payload plus [`HEADER_BYTES`] — captured at send time
     /// by calling [`MsgSize::size_bytes`] once, so the receiver never

@@ -14,14 +14,11 @@ use crate::sched::SlotHandle;
 use crate::stats::NodeStats;
 use crate::transport::{Transport, TryWireError, WaitWireError};
 
-/// How long a node's idle poll sleeps before re-checking peers and the
-/// watchdog. The sleep escalates from this floor by doubling up to
-/// [`IDLE_POLL_CEIL`] while nothing arrives, and snaps back to the floor
-/// on any receipt — so active phases keep microsecond reactivity while a
-/// long collective wait costs a handful of wakeups per second instead of
-/// ten thousand. (The channel wait itself parks the thread; the escalation
-/// only bounds how often a *quiet* node wakes to run its failure checks.)
-const IDLE_POLL_FLOOR: Duration = Duration::from_micros(100);
+/// How often an idle node wakes, off-slot, to check for peer death and
+/// the watchdog. A message ends the wait at once — on the channel under
+/// `Threads`, by a sender's slot grant under `Multiplexed` — so the tick
+/// only bounds how quickly a *failure* is noticed, and a long collective
+/// wait costs fifty wakeups per second.
 const IDLE_POLL_CEIL: Duration = Duration::from_millis(20);
 
 /// How long a blocked node waits before concluding the run is wedged.
@@ -45,10 +42,9 @@ pub const DEFAULT_DRAIN_BATCH: usize = 64;
 /// amortization that makes fine-grained protocol fan-out cheap.
 ///
 /// Liveness rule: every blocking point flushes. [`Node::poll_until`]
-/// flushes on entry and whenever a handled message leaves the local inbox
-/// empty, and [`Node::recv_timeout`] flushes before blocking on the
-/// channel, so no peer can deadlock waiting on a message its sender is
-/// still buffering.
+/// flushes on entry, whenever a handled message leaves the local inbox
+/// empty, and before the node goes idle, so no peer can deadlock waiting
+/// on a message its sender is still buffering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoalescePolicy {
     /// Every logical send is its own wire envelope (legacy behaviour,
@@ -146,7 +142,7 @@ struct OutBufs<M> {
 }
 
 /// Above this many ranks the per-destination buffers live in a map.
-const DENSE_OUTBUF_MAX: usize = 256;
+const DENSE_OUTBUF_MAX: usize = 64;
 
 impl<M> OutBufs<M> {
     fn new(nprocs: usize) -> Self {
@@ -232,9 +228,10 @@ pub struct Node<M> {
     pending: Cell<usize>,
     /// This thread's handle on the execution-slot gate under
     /// [`crate::ExecBackend::Multiplexed`]; `None` under `Threads`. The
-    /// slot is released exactly while parked on the channel inside
-    /// [`Node::recv_timeout`] — the substrate's one true blocking point —
-    /// and reacquired before touching any node state again.
+    /// slot is given up only while the node is idle inside
+    /// [`Node::poll_until`] with nothing to handle, and comes back with
+    /// the first message a peer sends it (every wire send notifies the
+    /// gate), before any node state is touched again.
     slot: Option<Rc<SlotHandle>>,
     /// Structured event sink; a no-op unless the builder enabled tracing.
     sink: TraceSink,
@@ -249,16 +246,12 @@ pub struct Node<M> {
     vc: RefCell<Vec<u64>>,
     /// Conformance violations recorded against this node.
     violations: Cell<u64>,
-    /// This node's protocol-switch epoch: bumped by an adaptive engine
-    /// when it commits a switch, stamped on every outgoing wire envelope
-    /// (see [`Envelope::sw`]). Metrologically invisible.
+    /// This node's protocol-switch epoch: bumped when the runtime commits
+    /// a protocol switch, stamped on every outgoing wire envelope (see
+    /// [`Envelope::sw`]). Metrologically invisible. Incoming messages from
+    /// a later epoch stay in the inbox until this node commits that
+    /// switch too (see [`Node::pop_inbox`]).
     sw_epoch: Cell<u64>,
-    /// Highest switch epoch seen on any incoming envelope (max-merged on
-    /// absorb). During a switch handshake a node blocked in the commit
-    /// barrier can observe `sw_epoch + 1` — peers past the barrier have
-    /// already bumped — but never more: the engine's two-barrier commit
-    /// bounds the skew, and debug builds assert it.
-    sw_seen: Cell<u64>,
 }
 
 impl<M: MsgSize + Send> Node<M> {
@@ -297,7 +290,6 @@ impl<M: MsgSize + Send> Node<M> {
             vc: RefCell::new(if setup.check.enabled() { vec![0; nprocs] } else { Vec::new() }),
             violations: Cell::new(0),
             sw_epoch: Cell::new(0),
-            sw_seen: Cell::new(0),
         }
     }
 
@@ -372,15 +364,10 @@ impl<M: MsgSize + Send> Node<M> {
         self.sw_epoch.get()
     }
 
-    /// The highest switch epoch observed on any incoming envelope.
-    pub fn switch_epoch_seen(&self) -> u64 {
-        self.sw_seen.get().max(self.sw_epoch.get())
-    }
-
-    /// Advance this node's switch epoch to `epoch` (monotone; called by an
-    /// adaptive protocol engine at its switch commit point, between the
-    /// drain barrier and the adopt barrier). Subsequent sends carry the
-    /// new epoch.
+    /// Advance this node's switch epoch to `epoch` (monotone; called by
+    /// the runtime at a protocol switch's commit point, between the drain
+    /// barrier and the adopt barrier). Subsequent sends carry the new
+    /// epoch, and held messages from that epoch become deliverable.
     pub fn set_switch_epoch(&self, epoch: u64) {
         debug_assert!(
             epoch >= self.sw_epoch.get(),
@@ -467,7 +454,7 @@ impl<M: MsgSize + Send> Node<M> {
                     sw: self.sw_epoch.get(),
                     msg,
                 };
-                self.transport.send_wire(dst, Wire::Single(env));
+                self.put_wire(dst, Wire::Single(env));
             }
             policy => {
                 self.charge(self.cost.pack_cost);
@@ -502,9 +489,9 @@ impl<M: MsgSize + Send> Node<M> {
     /// Flush every destination's coalescing buffer, in rank order. A
     /// no-op when nothing is buffered (the overwhelmingly common case at
     /// blocking points). Called automatically by [`Node::poll_until`] on
-    /// entry and whenever a handled message empties the inbox, and by
-    /// [`Node::recv_timeout`] before blocking — together those make every
-    /// blocking point flush, the liveness rule coalescing relies on.
+    /// entry, whenever a handled message empties the inbox, and before the
+    /// node goes idle — together those make every blocking point flush,
+    /// the liveness rule coalescing relies on.
     pub fn flush_coalesced(&self) {
         if self.pending.get() == 0 {
             return;
@@ -562,7 +549,17 @@ impl<M: MsgSize + Send> Node<M> {
             vc: self.vc_stamp(),
             sw: self.sw_epoch.get(),
         };
+        self.put_wire(dst, wire);
+    }
+
+    /// Hand one wire envelope to the transport and, under the multiplexed
+    /// backend, wake `dst` if it is idle. The push must come first: the
+    /// gate's lost-wakeup argument orders it before the idle check.
+    fn put_wire(&self, dst: usize, wire: Wire<M>) {
         self.transport.send_wire(dst, wire);
+        if let Some(slot) = &self.slot {
+            slot.notify(dst);
+        }
     }
 
     /// Expand one wire message into inbox entries. Arrival is computed
@@ -620,24 +617,45 @@ impl<M: MsgSize + Send> Node<M> {
         }
     }
 
-    /// Pop the next inbox entry. Default (wall-clock) scheduling is plain
-    /// FIFO over the drained inbox. With a deterministic seed installed,
-    /// the pop instead considers each source's *head* entry (per-pair FIFO
-    /// — the delivery-order guarantee protocols rely on — is preserved)
-    /// and picks the minimum by `(arrival, mix(seed, src, arrival))`: a
-    /// virtual-time-respecting order whose ties break by seeded hash
-    /// rather than by which sender's thread won the wall-clock race. This
-    /// is a best-effort replay heuristic — the candidate set still depends
-    /// on what has physically arrived — but two runs whose waits see the
-    /// same candidate sets replay identically.
+    /// Pop the next deliverable inbox entry. Default (wall-clock)
+    /// scheduling is plain FIFO over the drained inbox. With a
+    /// deterministic seed installed, the pop instead considers each
+    /// source's *head* entry (per-pair FIFO — the delivery-order guarantee
+    /// protocols rely on — is preserved) and picks the minimum by
+    /// `(arrival, mix(seed, src, arrival))`: a virtual-time-respecting
+    /// order whose ties break by seeded hash rather than by which sender's
+    /// thread won the wall-clock race. This is a best-effort replay
+    /// heuristic — the candidate set still depends on what has physically
+    /// arrived — but two runs whose waits see the same candidate sets
+    /// replay identically.
+    ///
+    /// An entry stamped with a later switch epoch than this node's is not
+    /// deliverable: it is held in place until this node commits that
+    /// switch. A switch commits between two machine barriers, and a peer
+    /// that saw the first barrier's release may already be adopting
+    /// regions under the new protocol (a dynamic-update JOIN, say) while
+    /// this node still waits for its own copy of the release; handling
+    /// that message now would run it through the old protocol. Holding it
+    /// keeps per-pair FIFO, since each sender's epochs only grow.
     fn pop_inbox(&self, inbox: &mut VecDeque<Inbound<M>>) -> Option<Inbound<M>> {
-        let seed = match self.det_seed {
-            Some(s) => s,
-            None => return inbox.pop_front(),
+        let epoch = self.sw_epoch.get();
+        let deliverable = |inb: &Inbound<M>| {
+            // The two-barrier handshake bounds the skew to one switch.
+            debug_assert!(
+                inb.env.sw <= epoch + 1,
+                "node {}: message from switch epoch {} arrived at epoch {epoch}",
+                self.rank,
+                inb.env.sw,
+            );
+            inb.env.sw <= epoch
         };
-        if inbox.len() <= 1 {
-            return inbox.pop_front();
-        }
+        let seed = match self.det_seed {
+            Some(s) if inbox.len() > 1 => s,
+            _ => {
+                let i = inbox.iter().position(deliverable)?;
+                return inbox.remove(i);
+            }
+        };
         // Sources whose head entry has been considered: a single u64
         // bitmask covers machines up to 64 ranks; wider machines get a
         // word-bitmap allocated per pop (deterministic mode is a replay /
@@ -662,7 +680,7 @@ impl<M: MsgSize + Send> Node<M> {
                     fresh
                 }
             };
-            if !newly_seen {
+            if !newly_seen || !deliverable(inb) {
                 continue;
             }
             let key = (inb.arrival, det_mix(seed, src as u64, inb.arrival));
@@ -689,80 +707,12 @@ impl<M: MsgSize + Send> Node<M> {
         Some(inb.env)
     }
 
-    /// Blocking receive with a short timeout, for poll loops that should
-    /// yield the CPU while idle. Flushes this node's own coalescing
-    /// buffers before blocking (the liveness rule: never sleep on a
-    /// message a peer may be waiting to trigger). Returns `None` on
-    /// timeout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel is disconnected: every peer's thread has
-    /// exited, so no message can ever arrive and waiting is futile.
-    pub fn recv_timeout(&self, d: Duration) -> Option<Envelope<M>> {
-        {
-            let mut inbox = self.inbox.borrow_mut();
-            if let Some(inb) = self.pop_inbox(&mut inbox) {
-                drop(inbox);
-                self.absorb(&inb);
-                return Some(inb.env);
-            }
-        }
-        self.flush_coalesced();
-        // Under the multiplexed backend this channel wait is the yield
-        // point: give the execution slot up for exactly the park, take it
-        // back before touching node state (including the error paths — a
-        // peer-death panic below unwinds while holding the slot, and the
-        // thread-exit release is idempotent).
-        let waited = match &self.slot {
-            Some(slot) => {
-                slot.release();
-                let r = self.transport.recv_wire_timeout(d);
-                slot.acquire();
-                r
-            }
-            None => self.transport.recv_wire_timeout(d),
-        };
-        match waited {
-            Ok(w) => {
-                let mut inbox = self.inbox.borrow_mut();
-                self.enqueue_wire(w, &mut inbox);
-                if self.det_seed.is_some() {
-                    // Same widest-candidate-set rule as `try_recv`: rank
-                    // everything already queued, not just this arrival.
-                    self.drain_burst(&mut inbox);
-                }
-                let inb = self.pop_inbox(&mut inbox).expect("wire expands to at least one message");
-                drop(inbox);
-                self.absorb(&inb);
-                Some(inb.env)
-            }
-            Err(WaitWireError::Timeout) => None,
-            Err(WaitWireError::Dead) => self.peer_exited("transport disconnected"),
-        }
-    }
-
     fn absorb(&self, inb: &Inbound<M>) {
         let now = self.clock.get().max(inb.arrival) + inb.charge;
         self.clock.set(now);
         self.msgs_recv.set(self.msgs_recv.get() + 1);
         if let Some(vc) = &inb.env.vc {
             self.vc_merge(vc);
-        }
-        if inb.env.sw > self.sw_seen.get() {
-            // Coherent switch commits sit between two machine barriers, so
-            // a message can arrive from at most one epoch ahead (its sender
-            // passed the commit barrier this node is still approaching) and
-            // never from a stale epoch after this node committed a newer
-            // one — the pre-commit flush drained those.
-            debug_assert!(
-                inb.env.sw <= self.sw_epoch.get() + 1,
-                "node {}: message from switch epoch {} arrived at epoch {}",
-                self.rank,
-                inb.env.sw,
-                self.sw_epoch.get()
-            );
-            self.sw_seen.set(inb.env.sw);
         }
         if self.sink.enabled() {
             if let Some((subs, wire_bytes)) = inb.wire {
@@ -811,14 +761,20 @@ impl<M: MsgSize + Send> Node<M> {
     /// rank (and its panic message, read lock-free off the transport)
     /// beats a silent multi-second watchdog stall.
     fn check_peers(&self, what: &str) {
-        let culprit = self.transport.failed_rank();
-        if culprit >= 0 && culprit as usize != self.rank {
+        if self.peer_failed() {
             panic!(
-                "node {}: peer exited (node {culprit} died{}) while waiting for: {what}",
+                "node {}: peer exited (node {} died{}) while waiting for: {what}",
                 self.rank,
+                self.transport.failed_rank(),
                 self.failure_suffix()
             );
         }
+    }
+
+    /// Whether some other node has died by panic (one atomic load).
+    fn peer_failed(&self) -> bool {
+        let culprit = self.transport.failed_rank();
+        culprit >= 0 && culprit as usize != self.rank
     }
 
     /// The watchdog deadline scaled to machine size: a 4096-node barrier
@@ -830,12 +786,12 @@ impl<M: MsgSize + Send> Node<M> {
         self.watchdog.get().saturating_mul(1 + (self.nprocs / 64) as u32)
     }
 
-    /// Spin-with-backoff until `pred` returns true, invoking `handle` on
-    /// messages that arrive in the meantime. This is the substrate's
-    /// equivalent of an Active Messages poll loop: a blocked processor keeps
-    /// servicing incoming protocol requests. Panics with `what` if the
-    /// watchdog expires (a wedged protocol) or a peer's thread dies (a
-    /// crashed protocol on the other side).
+    /// Service incoming messages until `pred` returns true, invoking
+    /// `handle` on each one. This is the substrate's equivalent of an
+    /// Active Messages poll loop: a blocked processor keeps servicing
+    /// incoming protocol requests. Panics with `what` if the watchdog
+    /// expires (a wedged protocol) or a peer's thread dies (a crashed
+    /// protocol on the other side).
     ///
     /// Coalescing liveness: the node's own buffers are flushed on entry —
     /// before the wait can block on a reply this node itself still holds —
@@ -846,19 +802,22 @@ impl<M: MsgSize + Send> Node<M> {
     /// block, so the flush is deferred and the replies for one incoming
     /// batch coalesce.
     ///
-    /// `pred` is re-checked after **every** message: as soon as the wait is
-    /// satisfied the loop returns, leaving any further queued messages for
-    /// the node's next poll. This matters for virtual-time fidelity — a
-    /// thread that races ahead in wall-clock time can enqueue messages
-    /// whose virtual send time is far in this node's future, and absorbing
-    /// them while blocked on an earlier event would serialize logically
-    /// parallel phases (the node's own next compute phase would start
-    /// *after* the peer's, inflating simulated time from max-of-nodes
-    /// toward sum-of-nodes).
+    /// `pred` is evaluated on entry and after **every** handled message,
+    /// and at no other time — not on an idle wakeup — so it must read only
+    /// state that `handle` (or the caller, before the call) changes; that
+    /// is what lets an idle node sleep until a peer sends it something.
+    /// As soon as the wait is satisfied the loop returns, leaving any
+    /// further queued messages for the node's next poll. This matters for
+    /// virtual-time fidelity — a thread that races ahead in wall-clock
+    /// time can enqueue messages whose virtual send time is far in this
+    /// node's future, and absorbing them while blocked on an earlier event
+    /// would serialize logically parallel phases (the node's own next
+    /// compute phase would start *after* the peer's, inflating simulated
+    /// time from max-of-nodes toward sum-of-nodes).
     pub fn poll_until(
         &self,
         what: &str,
-        handle: impl FnMut(&Self, Envelope<M>),
+        mut handle: impl FnMut(&Self, Envelope<M>),
         mut pred: impl FnMut() -> bool,
     ) {
         self.flush_coalesced();
@@ -868,68 +827,73 @@ impl<M: MsgSize + Send> Node<M> {
         if self.sink.enabled() {
             self.sink.emit(self.clock.get(), EventKind::Block { what: what.into() });
         }
-        self.poll_loop(what, handle, pred);
+        let start = Instant::now();
+        loop {
+            match self.try_recv() {
+                Some(env) => {
+                    handle(self, env);
+                    self.flush_after_handle();
+                    if pred() {
+                        break;
+                    }
+                }
+                None => self.wait_for_delivery(what, start),
+            }
+        }
         if self.sink.enabled() {
             self.sink.emit(self.clock.get(), EventKind::Unblock { what: what.into() });
         }
     }
 
-    fn poll_loop(
-        &self,
-        what: &str,
-        mut handle: impl FnMut(&Self, Envelope<M>),
-        mut pred: impl FnMut() -> bool,
-    ) {
-        let start = Instant::now();
-        let mut idle = IDLE_POLL_FLOOR;
-        loop {
-            match self.try_recv() {
-                Some(env) => {
-                    idle = IDLE_POLL_FLOOR;
-                    handle(self, env);
-                    self.flush_after_handle();
-                    if pred() {
-                        return;
-                    }
-                }
-                None => {
-                    if pred() {
-                        return;
-                    }
-                    match self.recv_timeout(idle) {
-                        Some(env) => {
-                            idle = IDLE_POLL_FLOOR;
-                            handle(self, env);
-                            self.flush_after_handle();
-                            if pred() {
-                                return;
-                            }
-                        }
-                        None => {
-                            idle = (idle * 2).min(IDLE_POLL_CEIL);
-                            self.check_peers(what);
-                            if start.elapsed() > self.effective_watchdog() {
-                                if self.sink.enabled() {
-                                    // Dump this node's wait-graph view before
-                                    // dying: which hook/region the stall sits
-                                    // inside, not just the caller's `what`.
-                                    let t = MachineTrace { nodes: vec![self.sink.take(self.rank)] };
-                                    let report = t.wait_graph_report();
-                                    if !report.is_empty() {
-                                        eprintln!("{report}");
-                                    }
-                                }
-                                panic!(
-                                    "node {} wedged waiting for: {what} (clock {} ns)",
-                                    self.rank,
-                                    self.now()
-                                );
-                            }
-                        }
-                    }
+    /// Nothing to handle: block until a wire envelope is delivered, then
+    /// return with it queued (under `Multiplexed`, also with a slot held).
+    /// Every [`IDLE_POLL_CEIL`] tick without a delivery runs the
+    /// peer-death and watchdog checks; under `Multiplexed` they run
+    /// off-slot, and a failing check takes a slot back before panicking.
+    fn wait_for_delivery(&self, what: &str, start: Instant) {
+        self.flush_coalesced();
+        let doomed = || self.peer_failed() || start.elapsed() > self.effective_watchdog();
+        let Some(slot) = &self.slot else {
+            loop {
+                match self.transport.recv_wire_timeout(IDLE_POLL_CEIL) {
+                    Ok(w) => return self.enqueue_wire(w, &mut self.inbox.borrow_mut()),
+                    Err(WaitWireError::Timeout) if doomed() => self.fail_wait(what),
+                    Err(WaitWireError::Timeout) => {}
+                    Err(WaitWireError::Dead) => self.peer_exited("transport disconnected"),
                 }
             }
+        };
+        let repolled = slot.go_idle(|| match self.transport.try_recv_wire() {
+            Err(TryWireError::Empty) => None,
+            got => Some(got),
+        });
+        match repolled {
+            Some(Ok(w)) => return self.enqueue_wire(w, &mut self.inbox.borrow_mut()),
+            Some(Err(_)) => self.peer_exited("transport disconnected"),
+            None => {}
         }
+        while !slot.wait_idle(IDLE_POLL_CEIL) {
+            if doomed() {
+                slot.leave_idle();
+                self.fail_wait(what);
+            }
+        }
+    }
+
+    /// Panic out of a doomed wait: name the dead peer if there is one,
+    /// otherwise report the watchdog stall.
+    fn fail_wait(&self, what: &str) -> ! {
+        self.check_peers(what);
+        if self.sink.enabled() {
+            // Dump this node's wait-graph view before dying: which
+            // hook/region the stall sits inside, not just `what`.
+            let t = MachineTrace { nodes: vec![self.sink.take(self.rank)] };
+            let report = t.wait_graph_report();
+            if !report.is_empty() {
+                eprintln!("{report}");
+            }
+        }
+        panic!("node {} wedged waiting for: {what} (clock {} ns)", self.rank, self.now());
     }
 
     /// Snapshot of this node's statistics (final clock filled in). Flushes
@@ -964,6 +928,7 @@ fn det_mix(seed: u64, src: u64, arrival: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::envelope::HEADER_BYTES;
+    use crate::sched::ExecBackend;
     use crate::spmd::Spmd;
 
     #[test]
@@ -1006,6 +971,62 @@ mod tests {
             .run::<u64, _, _>(|node| {
                 node.poll_until("never", |_, _| {}, || false);
             });
+    }
+
+    #[test]
+    fn pred_is_reevaluated_only_after_a_handled_message() {
+        // The receiver idles through several idle ticks between messages;
+        // none of those wakeups may re-run `pred`: once on entry, then
+        // once per handled message.
+        for backend in [ExecBackend::Threads, ExecBackend::Multiplexed] {
+            let r = Spmd::builder()
+                .nprocs(2)
+                .cost(CostModel::free())
+                .backend(backend)
+                .workers(2)
+                .run::<u64, _, _>(|node| {
+                if node.rank() == 0 {
+                    for i in 0..3 {
+                        std::thread::sleep(IDLE_POLL_CEIL * 3);
+                        node.send(1, i + 1);
+                    }
+                    0
+                } else {
+                    let (seen, evals) = (Cell::new(0u64), Cell::new(0u64));
+                    node.poll_until(
+                        "3 msgs",
+                        |_, _| seen.set(seen.get() + 1),
+                        || {
+                            evals.set(evals.get() + 1);
+                            seen.get() == 3
+                        },
+                    );
+                    evals.get()
+                }
+            });
+            assert_eq!(r.results[1], 1 + 3, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn messages_from_a_later_switch_epoch_wait_for_the_commit() {
+        // Node 0 has committed switch 1 and sends; node 1 has not. The
+        // barrier orders node 1's polls after the message is queued.
+        let queued = std::sync::Barrier::new(2);
+        let r = Spmd::builder().nprocs(2).cost(CostModel::free()).run::<u64, _, _>(|node| {
+            if node.rank() == 0 {
+                node.set_switch_epoch(1);
+                node.send(1, 7);
+                queued.wait();
+                0
+            } else {
+                queued.wait();
+                assert!(node.try_recv().is_none(), "held until this node commits");
+                node.set_switch_epoch(1);
+                node.try_recv().expect("deliverable after the commit").msg
+            }
+        });
+        assert_eq!(r.results[1], 7);
     }
 
     #[test]

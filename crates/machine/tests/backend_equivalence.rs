@@ -1,9 +1,11 @@
 //! Machine-level checks that the multiplexed backend preserves the
 //! substrate's contracts at scale: the deterministic inbox scheduler
 //! replays beyond the 64-rank single-word fast path, failure detection
-//! still names the culprit promptly when nodes share a worker pool, and
-//! a machine at the 4096-node ceiling constructs and tears down.
+//! still names the culprit promptly when nodes share a worker pool, no
+//! wakeup is lost between a send and an idle receiver, and a machine at
+//! the 4096-node ceiling constructs and tears down.
 
+use std::cell::Cell;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -120,4 +122,41 @@ fn machine_at_the_node_ceiling_constructs_and_runs() {
     for (rank, &got) in r.results.iter().enumerate() {
         assert_eq!(got as usize, (rank + n - 1) % n, "ring token came from the wrong rank");
     }
+}
+
+#[test]
+fn token_ring_over_two_slots_loses_no_wakeup() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Every hop hands the token to a node that is idle, off-slot, and
+    // woken only by the sender's notify; 64 nodes over 2 slots make most
+    // grants queue behind the slot gate. A single lost wakeup stalls the
+    // ring until the watchdog panics.
+    const HOPS: u64 = 10_000;
+    let n = 64u64;
+    let r = Spmd::builder()
+        .nprocs(n as usize)
+        .cost(CostModel::free())
+        .backend(ExecBackend::Multiplexed)
+        .workers(2)
+        .watchdog(Duration::from_secs(5))
+        .run::<u64, _, _>(|node| {
+            let rank = node.rank() as u64;
+            let next = (node.rank() + 1) % n as usize;
+            if rank == 0 {
+                node.send(next, 1);
+            }
+            // Token `t` visits rank `t % n`.
+            let mut last = 0;
+            for _ in (1..=HOPS).filter(|t| t % n == rank) {
+                let got = Cell::new(0u64);
+                node.poll_until("ring token", |_, env| got.set(env.msg), || got.get() != 0);
+                last = got.get();
+                if last < HOPS {
+                    node.send(next, last + 1);
+                }
+            }
+            last
+        });
+    assert_eq!(r.results[(HOPS % n) as usize], HOPS, "the last hop landed where it should");
+    assert_eq!(r.stats.nodes.iter().map(|s| s.msgs_recv).sum::<u64>(), HOPS);
 }

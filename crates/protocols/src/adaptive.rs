@@ -31,7 +31,9 @@
 //! re-declare their fast masks) → machine barrier. Because nothing blocks
 //! between the first barrier's return and the swap, no node can observe a
 //! message from more than one switch epoch ahead — the invariant the
-//! substrate debug-asserts on every delivery.
+//! substrate debug-asserts on every delivery. A message from one epoch
+//! ahead (a peer already adopting) stays in the receiver's inbox until the
+//! receiver commits too, so the old protocol never handles it.
 //!
 //! # What it costs
 //!
