@@ -1,5 +1,5 @@
 //! Microbenchmarks for the three wall-clock optimization layers: zero-copy
-//! payload fan-out, the inline region-lookup cache, and the batched
+//! payload fan-out, the inline region-lookup cache, and the burst
 //! message drain. Each bench isolates one layer's hot path.
 
 use ace_core::{run_ace, CostModel, RegionId};
@@ -87,42 +87,36 @@ fn region_lookup(c: &mut Criterion) {
     g.finish();
 }
 
-/// Layer 3 — batched drain: one node floods another with small messages;
+/// Layer 3 — burst drain: one node floods another with small messages;
 /// the receiver's throughput is bounded by how fast it can pull them off
 /// the channel.
-fn batched_drain(c: &mut Criterion) {
+fn burst_drain(c: &mut Criterion) {
     let mut g = c.benchmark_group("layers");
     g.sample_size(10);
-    for &batch in &[1usize, 64] {
-        g.bench_function(format!("drain_flood_30k_batch{batch}"), |b| {
-            b.iter(|| {
-                Spmd::builder()
-                    .nprocs(2)
-                    .cost(MachineCost::free())
-                    .drain_batch(batch)
-                    .run::<u64, _, _>(|node| {
-                        const K: usize = 30_000;
-                        if node.rank() == 0 {
-                            for i in 0..K as u64 {
-                                node.send(1, i);
-                            }
-                            0
-                        } else {
-                            let seen = RefCell::new(0usize);
-                            node.poll_until(
-                                "flood",
-                                |_, _| *seen.borrow_mut() += 1,
-                                || *seen.borrow() == K,
-                            );
-                            let n = *seen.borrow();
-                            n
-                        }
-                    })
+    g.bench_function("drain_flood_30k", |b| {
+        b.iter(|| {
+            Spmd::builder().nprocs(2).cost(MachineCost::free()).run::<u64, _, _>(|node| {
+                const K: usize = 30_000;
+                if node.rank() == 0 {
+                    for i in 0..K as u64 {
+                        node.send(1, i);
+                    }
+                    0
+                } else {
+                    let seen = RefCell::new(0usize);
+                    node.poll_until(
+                        "flood",
+                        |_, _| *seen.borrow_mut() += 1,
+                        || *seen.borrow() == K,
+                    );
+                    let n = *seen.borrow();
+                    n
+                }
             })
-        });
-    }
+        })
+    });
     g.finish();
 }
 
-criterion_group!(benches, zero_copy, region_lookup, batched_drain);
+criterion_group!(benches, zero_copy, region_lookup, burst_drain);
 criterion_main!(benches);

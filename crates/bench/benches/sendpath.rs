@@ -1,7 +1,7 @@
-//! Wall-clock cost of one logical `Node::send` under the three coalescing
-//! policies: `Off` (every send is its own wire envelope), `Threshold(8)`
+//! Wall-clock cost of one logical `Node::send` under three coalescing
+//! settings: `Off` (every send is its own wire envelope), `Threshold(8)`
 //! (the runtime default — buffers flush every eighth message), and
-//! `FlushOnWait` (everything buffers until a blocking point). The free
+//! `Threshold(usize::MAX)` (everything buffers until a blocking point). The free
 //! cost model zeroes the simulated charges, so the loop measures the real
 //! sender-side work: channel injection per envelope for `Off` versus a
 //! buffer push (plus the amortized flush) for the coalescing policies.
@@ -20,7 +20,7 @@ fn send_loop(c: &mut Criterion) {
     for (name, policy) in [
         ("off", CoalescePolicy::Off),
         ("threshold8", CoalescePolicy::Threshold(8)),
-        ("flush_on_wait", CoalescePolicy::FlushOnWait),
+        ("threshold_max", CoalescePolicy::Threshold(usize::MAX)),
     ] {
         g.bench_function(format!("{name}_send_x{SENDS}"), |b| {
             b.iter(|| {

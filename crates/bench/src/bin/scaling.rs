@@ -9,9 +9,13 @@
 //! scheduler's own overhead stays visible: simulated time is the figure,
 //! wall time is the engine.
 //!
-//! Usage: scaling [--app NAME[,NAME...]] [--max N] [--min N]
-//!                [--backend threads|multiplexed] [--runs K]
-//!                [--json [PATH]] [--smoke]
+//! Usage:
+//!
+//! ```text
+//! scaling [--app NAME[,NAME...]] [--max N] [--min N]
+//!         [--backend threads|multiplexed] [--runs K]
+//!         [--json [PATH]] [--smoke]
+//! ```
 //!
 //! `--json` without a path writes `BENCH_scaling.json` at the repo root,
 //! the canonical location CI and EXPERIMENTS.md point at. `--smoke` runs

@@ -7,7 +7,7 @@
 //!   runtime-system counterparts for the compiler evaluation (Table 4).
 //!
 //! Binaries `fig7a`, `fig7b`, `table4`, and `ablation` print the tables;
-//! the Criterion benches under `benches/` wrap the same computations.
+//! the Criterion benches under `benches/` time the layers beneath them.
 
 // The Table 4 kernels transliterate the paper's C loops; explicit indexing is the idiom.
 #![allow(clippy::needless_range_loop)]

@@ -242,10 +242,10 @@ mod tests {
 
     #[test]
     fn config_errors_wrap_with_context() {
-        let e: AceError = ConfigError::SocketDeterministic.into();
+        let e: AceError = ConfigError::SocketMultiplexed.into();
         let s = e.to_string();
         assert!(s.contains("invalid machine configuration"), "{s}");
-        assert!(s.contains("deterministic"), "{s}");
+        assert!(s.contains("Threads"), "{s}");
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl GrantSet {
 /// Invariant required of implementations: `handle` must not block (no
 /// nested waits) — multi-hop exchanges are written as state machines using
 /// the entry's `st`/`pending`/`blocked` fields. The `start_*`/`lock`/
-/// `barrier` hooks may block via [`AceRt::wait_region`] and friends.
+/// `barrier` hooks may block via [`AceRt::wait`].
 pub trait Protocol: 'static {
     /// Protocol name, as registered with the system (Figure 1).
     fn name(&self) -> &'static str;

@@ -128,9 +128,9 @@ pub enum Inst {
     LoadLocal { dst: VReg, slot: u32 },
     /// local scalar slot = a.
     StoreLocal { slot: u32, a: VReg },
-    /// dst = local array slot[idx].
+    /// dst = local array `slot[idx]`.
     LoadArr { dst: VReg, slot: u32, idx: VReg },
-    /// local array slot[idx] = a.
+    /// local array `slot[idx]` = a.
     StoreArr { slot: u32, idx: VReg, a: VReg },
     /// `ACE_MAP`: dst = mapped handle.
     Map { aid: AccessId, mode: DispatchMode, dst: VReg, handle: VReg },

@@ -30,7 +30,7 @@ pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
 /// burst. Draining in bursts amortizes the channel's synchronization over
 /// many messages; the burst is bounded so a flood of incoming traffic
 /// cannot starve the caller's predicate checks.
-pub const DEFAULT_DRAIN_BATCH: usize = 64;
+const DRAIN_BURST: usize = 64;
 
 /// When to flush a destination's coalescing buffer.
 ///
@@ -52,10 +52,9 @@ pub enum CoalescePolicy {
     #[default]
     Off,
     /// Flush a destination as soon as its buffer holds N sub-messages
-    /// (and at every blocking point).
+    /// (and at every blocking point). `Threshold(usize::MAX)` buffers
+    /// without bound and flushes only at blocking points.
     Threshold(usize),
-    /// Buffer without bound; flush only at blocking points.
-    FlushOnWait,
 }
 
 /// How the runtime conformance checker (`ace-check`) treats violations.
@@ -89,22 +88,18 @@ impl CheckMode {
 #[derive(Debug, Clone)]
 pub(crate) struct NodeSetup {
     pub watchdog: Duration,
-    pub drain_batch: usize,
     pub trace: TraceConfig,
     pub coalesce: CoalescePolicy,
     pub check: CheckMode,
-    pub det_seed: Option<u64>,
 }
 
 impl Default for NodeSetup {
     fn default() -> Self {
         NodeSetup {
             watchdog: DEFAULT_WATCHDOG,
-            drain_batch: DEFAULT_DRAIN_BATCH,
             trace: TraceConfig::off(),
             coalesce: CoalescePolicy::Off,
             check: CheckMode::Off,
-            det_seed: None,
         }
     }
 }
@@ -220,7 +215,6 @@ pub struct Node<M> {
     /// popped for handling, so per-message virtual-clock semantics are
     /// identical to unbatched reception (same order, same arrival math).
     inbox: RefCell<VecDeque<Inbound<M>>>,
-    drain_batch: Cell<usize>,
     /// Per-destination coalescing buffers; `pending` counts buffered
     /// parts across all destinations so the common empty case is one load.
     coalesce: Cell<CoalescePolicy>,
@@ -238,8 +232,6 @@ pub struct Node<M> {
     /// Conformance-checking mode (the runtime layer does the checking; the
     /// node carries the mode, the vector clock, and the violation count).
     check: CheckMode,
-    /// Seed for the deterministic inbox scheduler, when enabled.
-    det_seed: Option<u64>,
     /// This node's vector clock (one component per rank), maintained only
     /// when `check` is enabled: ticked on sends and checker-visible
     /// events, merged from [`Envelope::vc`] on absorb.
@@ -263,7 +255,6 @@ impl<M: MsgSize + Send> Node<M> {
         slot: Option<Rc<SlotHandle>>,
         setup: &NodeSetup,
     ) -> Self {
-        assert!(setup.drain_batch >= 1, "drain batch must be at least 1");
         let header_bytes = transport.header_bytes();
         Node {
             rank,
@@ -279,14 +270,12 @@ impl<M: MsgSize + Send> Node<M> {
             msgs_recv: Cell::new(0),
             watchdog: Cell::new(setup.watchdog),
             inbox: RefCell::new(VecDeque::new()),
-            drain_batch: Cell::new(setup.drain_batch),
             coalesce: Cell::new(setup.coalesce),
             outbuf: RefCell::new(OutBufs::new(nprocs)),
             pending: Cell::new(0),
             slot,
             sink: TraceSink::new(&setup.trace),
             check: setup.check,
-            det_seed: setup.det_seed,
             vc: RefCell::new(if setup.check.enabled() { vec![0; nprocs] } else { Vec::new() }),
             violations: Cell::new(0),
             sw_epoch: Cell::new(0),
@@ -456,7 +445,7 @@ impl<M: MsgSize + Send> Node<M> {
                 };
                 self.put_wire(dst, Wire::Single(env));
             }
-            policy => {
+            CoalescePolicy::Threshold(n) => {
                 self.charge(self.cost.pack_cost);
                 let payload = msg.size_bytes();
                 // Logical accounting is policy-independent: the same
@@ -477,10 +466,8 @@ impl<M: MsgSize + Send> Node<M> {
                 }
                 let len = self.outbuf.borrow_mut().push(dst, (msg, payload));
                 self.pending.set(self.pending.get() + 1);
-                if let CoalescePolicy::Threshold(n) = policy {
-                    if len >= n.max(1) {
-                        self.flush_dst(dst);
-                    }
+                if len >= n.max(1) {
+                    self.flush_dst(dst);
                 }
             }
         }
@@ -600,15 +587,8 @@ impl<M: MsgSize + Send> Node<M> {
     /// delivers in send order per source and the inbox is a queue. A
     /// coalesced batch counts as one pull but may expand past the burst
     /// limit; the limit only bounds channel synchronization per burst.
-    ///
-    /// Deterministic mode ignores the burst limit and drains the whole
-    /// backlog: the seeded pop ranks the candidates it can see, so a
-    /// bounded drain would let wall-clock channel order decide *which*
-    /// 64 candidates compete — visible as replay divergence on machines
-    /// whose backlog exceeds one burst (256 senders racing one inbox).
     fn drain_burst(&self, inbox: &mut VecDeque<Inbound<M>>) {
-        let limit = if self.det_seed.is_some() { usize::MAX } else { self.drain_batch.get() };
-        while inbox.len() < limit {
+        while inbox.len() < DRAIN_BURST {
             match self.transport.try_recv_wire() {
                 Ok(w) => self.enqueue_wire(w, inbox),
                 Err(TryWireError::Empty) => break,
@@ -617,17 +597,8 @@ impl<M: MsgSize + Send> Node<M> {
         }
     }
 
-    /// Pop the next deliverable inbox entry. Default (wall-clock)
-    /// scheduling is plain FIFO over the drained inbox. With a
-    /// deterministic seed installed, the pop instead considers each
-    /// source's *head* entry (per-pair FIFO — the delivery-order guarantee
-    /// protocols rely on — is preserved) and picks the minimum by
-    /// `(arrival, mix(seed, src, arrival))`: a virtual-time-respecting
-    /// order whose ties break by seeded hash rather than by which sender's
-    /// thread won the wall-clock race. This is a best-effort replay
-    /// heuristic — the candidate set still depends on what has physically
-    /// arrived — but two runs whose waits see the same candidate sets
-    /// replay identically.
+    /// Pop the next deliverable inbox entry: plain FIFO over the drained
+    /// inbox.
     ///
     /// An entry stamped with a later switch epoch than this node's is not
     /// deliverable: it is held in place until this node commits that
@@ -639,7 +610,7 @@ impl<M: MsgSize + Send> Node<M> {
     /// keeps per-pair FIFO, since each sender's epochs only grow.
     fn pop_inbox(&self, inbox: &mut VecDeque<Inbound<M>>) -> Option<Inbound<M>> {
         let epoch = self.sw_epoch.get();
-        let deliverable = |inb: &Inbound<M>| {
+        let i = inbox.iter().position(|inb| {
             // The two-barrier handshake bounds the skew to one switch.
             debug_assert!(
                 inb.env.sw <= epoch + 1,
@@ -648,57 +619,15 @@ impl<M: MsgSize + Send> Node<M> {
                 inb.env.sw,
             );
             inb.env.sw <= epoch
-        };
-        let seed = match self.det_seed {
-            Some(s) if inbox.len() > 1 => s,
-            _ => {
-                let i = inbox.iter().position(deliverable)?;
-                return inbox.remove(i);
-            }
-        };
-        // Sources whose head entry has been considered: a single u64
-        // bitmask covers machines up to 64 ranks; wider machines get a
-        // word-bitmap allocated per pop (deterministic mode is a replay /
-        // debugging mode, so the allocation is off the production path).
-        let mut seen_small: u64 = 0;
-        let mut seen_wide: Option<Box<[u64]>> =
-            (self.nprocs > 64).then(|| vec![0u64; self.nprocs.div_ceil(64)].into_boxed_slice());
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (i, inb) in inbox.iter().enumerate() {
-            let src = inb.env.src;
-            let newly_seen = match &mut seen_wide {
-                Some(words) => {
-                    let bit = 1u64 << (src % 64);
-                    let fresh = words[src / 64] & bit == 0;
-                    words[src / 64] |= bit;
-                    fresh
-                }
-                None => {
-                    let bit = 1u64 << (src as u64 & 63);
-                    let fresh = seen_small & bit == 0;
-                    seen_small |= bit;
-                    fresh
-                }
-            };
-            if !newly_seen || !deliverable(inb) {
-                continue;
-            }
-            let key = (inb.arrival, det_mix(seed, src as u64, inb.arrival));
-            if best.is_none_or(|(a, m, _)| (key.0, key.1) < (a, m)) {
-                best = Some((key.0, key.1, i));
-            }
-        }
-        let (_, _, idx) = best?;
-        inbox.remove(idx)
+        })?;
+        inbox.remove(i)
     }
 
     /// Non-blocking receive. On delivery the local clock advances to cover
     /// the message's flight time and the receive overhead is charged.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
         let mut inbox = self.inbox.borrow_mut();
-        if inbox.is_empty() || self.det_seed.is_some() {
-            // Deterministic mode drains on every pop so the seeded order
-            // sees the widest (least wall-clock-dependent) candidate set.
+        if inbox.is_empty() {
             self.drain_burst(&mut inbox);
         }
         let inb = self.pop_inbox(&mut inbox)?;
@@ -914,16 +843,6 @@ impl<M: MsgSize + Send> Node<M> {
     }
 }
 
-/// SplitMix64-style tie-break hash for the deterministic scheduler: a
-/// pure function of (seed, source rank, arrival time), so two runs with
-/// the same seed rank identical candidates identically.
-fn det_mix(seed: u64, src: u64, arrival: u64) -> u64 {
-    let mut z = seed ^ src.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ arrival.rotate_left(17);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1071,31 +990,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_between_pair_unbatched() {
-        // Same as above with the burst disabled: the drain path must be
-        // observationally identical at batch size 1.
-        let r = Spmd::builder().nprocs(2).cost(CostModel::free()).drain_batch(1).run::<u64, _, _>(
-            |node| {
-                if node.rank() == 0 {
-                    for i in 0..100 {
-                        node.send(1, i);
-                    }
-                    Vec::new()
-                } else {
-                    let seen = RefCell::new(Vec::new());
-                    node.poll_until(
-                        "100 msgs",
-                        |_, env| seen.borrow_mut().push(env.msg),
-                        || seen.borrow().len() == 100,
-                    );
-                    seen.into_inner()
-                }
-            },
-        );
-        assert_eq!(r.results[1], (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn inbox_messages_absorb_at_pop_not_at_drain() {
         // A burst of queued messages must not advance the clock until each
         // one is actually popped: after the first poll_until returns (its
@@ -1134,26 +1028,26 @@ mod tests {
         let r = Spmd::builder()
             .nprocs(2)
             .cost(cost.clone())
-            .coalesce(CoalescePolicy::FlushOnWait)
+            .coalesce(CoalescePolicy::Threshold(usize::MAX))
             .run::<u64, _, _>(move |node| {
-            if node.rank() == 0 {
-                for i in 0..3 {
-                    node.send(1, i + 1);
+                if node.rank() == 0 {
+                    for i in 0..3 {
+                        node.send(1, i + 1);
+                    }
+                    assert_eq!(node.pending_coalesced(), 3);
+                    node.flush_coalesced();
+                    let s = node.stats();
+                    assert_eq!(s.logical_msgs, 3);
+                    assert_eq!(s.wire_msgs, 1);
+                    assert_eq!(s.bytes_sent, 3 * (8 + HEADER_BYTES as u64));
+                    assert_eq!(s.wire_bytes, 3 * 8 + HEADER_BYTES as u64);
+                    node.now()
+                } else {
+                    let seen = Cell::new(0u64);
+                    node.poll_until("3 msgs", |_, _| seen.set(seen.get() + 1), || seen.get() == 3);
+                    node.now()
                 }
-                assert_eq!(node.pending_coalesced(), 3);
-                node.flush_coalesced();
-                let s = node.stats();
-                assert_eq!(s.logical_msgs, 3);
-                assert_eq!(s.wire_msgs, 1);
-                assert_eq!(s.bytes_sent, 3 * (8 + HEADER_BYTES as u64));
-                assert_eq!(s.wire_bytes, 3 * 8 + HEADER_BYTES as u64);
-                node.now()
-            } else {
-                let seen = Cell::new(0u64);
-                node.poll_until("3 msgs", |_, _| seen.set(seen.get() + 1), || seen.get() == 3);
-                node.now()
-            }
-        });
+            });
         let send_done = 3 * c.pack_cost + c.send_overhead;
         assert_eq!(r.results[0], send_done);
         let arrival = send_done + c.wire_time(3 * 8 + HEADER_BYTES);
@@ -1215,15 +1109,14 @@ mod tests {
 
     #[test]
     fn wait_points_flush_so_request_reply_cannot_deadlock() {
-        // Request/reply ping-pong under FlushOnWait with drain_batch(1):
-        // nothing flushes until a node actually blocks, so this deadlocks
-        // unless poll_until flushes on entry (the request) and after each
-        // handled message (the reply, sent from handler context).
+        // Request/reply ping-pong under an unreachable threshold: nothing
+        // flushes until a node actually blocks, so this deadlocks unless
+        // poll_until flushes on entry (the request) and after each handled
+        // message (the reply, sent from handler context).
         let r = Spmd::builder()
             .nprocs(2)
             .cost(CostModel::free())
-            .coalesce(CoalescePolicy::FlushOnWait)
-            .drain_batch(1)
+            .coalesce(CoalescePolicy::Threshold(usize::MAX))
             .watchdog(Duration::from_secs(5))
             .run::<u64, _, _>(|node| {
                 let done = Cell::new(0u64);
@@ -1250,7 +1143,7 @@ mod tests {
         let r = Spmd::builder()
             .nprocs(2)
             .cost(CostModel::free())
-            .coalesce(CoalescePolicy::FlushOnWait)
+            .coalesce(CoalescePolicy::Threshold(usize::MAX))
             .run::<u64, _, _>(|node| {
                 if node.rank() == 0 {
                     node.send(1, 1);

@@ -2,8 +2,10 @@
 //!
 //! Region data in both runtimes is stored as `[u64]` words (8-byte aligned,
 //! like the CM-5's double-word-aligned heap). Applications view a region as
-//! a slice of some plain-old-data element type. The casts here are the only
-//! `unsafe` in the workspace and are guarded by size/alignment checks.
+//! a slice of some plain-old-data element type. The casts here are guarded
+//! by size/alignment checks; with the `malloc_trim` call in `spmd` they are
+//! the only `unsafe` code in `ace-machine` (downstream crates add only
+//! `unsafe impl Pod` declarations for their element types).
 
 /// Marker for types that are valid for any bit pattern and contain no
 /// padding requirements beyond 8-byte alignment.

@@ -21,7 +21,7 @@
 //! three steps: mark the rank idle, re-poll the node's channel without
 //! blocking, and only if that finds nothing hand the slot to the queue
 //! head. A sender pushes its wire envelope first and then calls
-//! [`SlotHandle::notify`] for the destination; if the destination is idle,
+//! `SlotHandle::notify` for the destination; if the destination is idle,
 //! `notify` takes it off the idle list and grants it a free slot or
 //! queues it FIFO. A SeqCst fence on each side (after the idle mark, after
 //! the push) closes the lost-wakeup race: either the sender sees the idle
@@ -34,7 +34,7 @@
 //! even when the machine is oversubscribed a hundredfold. An idle node
 //! still wakes on a slow tick to check for peer death and the watchdog;
 //! those checks run off-slot and leave the gate untouched unless they
-//! fail. The per-node stacks are shrunk (see [`MUX_STACK_BYTES`]) so
+//! fail. The per-node stacks are shrunk (see `MUX_STACK_BYTES`) so
 //! thousands of mostly-parked threads stay cheap.
 
 use std::cell::Cell;

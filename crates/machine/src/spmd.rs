@@ -1,7 +1,7 @@
 //! SPMD launcher: run one closure on every simulated processor.
 //!
 //! Machines are configured through [`Spmd::builder`], which gathers every
-//! knob — processor count, cost model, watchdog, drain batch, tracing,
+//! knob — processor count, cost model, watchdog, coalescing, tracing,
 //! transport — into a [`MachineBuilder`] instead of the former scattered
 //! per-node mutators.
 //!
@@ -23,9 +23,7 @@ use ace_trace::{MachineTrace, NodeTrace, TraceConfig};
 
 use crate::cost::CostModel;
 use crate::envelope::MsgSize;
-use crate::node::{
-    CheckMode, CoalescePolicy, Node, NodeSetup, DEFAULT_DRAIN_BATCH, DEFAULT_WATCHDOG,
-};
+use crate::node::{CheckMode, CoalescePolicy, Node, NodeSetup, DEFAULT_WATCHDOG};
 use crate::sched::{default_workers, ExecBackend, Scheduler, SlotHandle, MUX_STACK_BYTES};
 use crate::stats::{MachineStats, NodeStats};
 use crate::transport::{
@@ -73,8 +71,8 @@ pub struct Spmd;
 
 impl Spmd {
     /// Start configuring a machine. Defaults: 1 processor, CM-5 cost
-    /// model, in-process transport, tracing off, default watchdog and
-    /// drain batch.
+    /// model, in-process transport, tracing off, coalescing off, default
+    /// watchdog.
     pub fn builder() -> MachineBuilder {
         MachineBuilder::new()
     }
@@ -87,10 +85,8 @@ pub struct MachineBuilder {
     cost: CostModel,
     trace: TraceConfig,
     watchdog: Duration,
-    drain_batch: usize,
     coalesce: CoalescePolicy,
     check: CheckMode,
-    det_seed: Option<u64>,
     backend: ExecBackend,
     workers: Option<usize>,
     transport: TransportKind,
@@ -154,10 +150,8 @@ impl MachineBuilder {
             cost: CostModel::cm5(),
             trace: TraceConfig::off(),
             watchdog: DEFAULT_WATCHDOG,
-            drain_batch: DEFAULT_DRAIN_BATCH,
             coalesce: CoalescePolicy::Off,
             check: CheckMode::Off,
-            det_seed: None,
             backend: ExecBackend::default(),
             workers: None,
             transport: TransportKind::InProc,
@@ -188,13 +182,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Channel drain burst size (1 = unbatched reception).
-    pub fn drain_batch(mut self, n: usize) -> Self {
-        assert!(n >= 1, "drain batch must be at least 1");
-        self.drain_batch = n;
-        self
-    }
-
     /// Initial per-destination send-coalescing policy (off by default at
     /// the substrate level; nodes can switch at runtime with
     /// [`Node::set_coalesce`]).
@@ -209,16 +196,6 @@ impl MachineBuilder {
     /// runtime above it performs the access-control checks.
     pub fn check(mut self, mode: CheckMode) -> Self {
         self.check = mode;
-        self
-    }
-
-    /// Install the seeded deterministic inbox scheduler: ready messages
-    /// pop in `(arrival, seeded hash)` order instead of wall-clock arrival
-    /// order, so a run that reported a violation can be replayed. Per-pair
-    /// FIFO delivery is preserved. Best-effort: see `Node::pop_inbox`.
-    /// Incompatible with the socket transport ([`ConfigError`]).
-    pub fn deterministic(mut self, seed: u64) -> Self {
-        self.det_seed = Some(seed);
         self
     }
 
@@ -254,9 +231,6 @@ impl MachineBuilder {
     /// typed error instead of a panic.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if matches!(self.transport, TransportKind::Socket(_)) {
-            if self.det_seed.is_some() {
-                return Err(ConfigError::SocketDeterministic);
-            }
             if matches!(self.backend, ExecBackend::Multiplexed) {
                 return Err(ConfigError::SocketMultiplexed);
             }
@@ -273,11 +247,9 @@ impl MachineBuilder {
     fn node_setup(&self) -> NodeSetup {
         NodeSetup {
             watchdog: self.watchdog,
-            drain_batch: self.drain_batch,
             trace: self.trace.clone(),
             coalesce: self.coalesce,
             check: self.check,
-            det_seed: self.det_seed,
         }
     }
 
@@ -709,56 +681,15 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_scheduler_replays_and_preserves_fifo() {
-        // Five senders race two messages each at node 0, which only starts
-        // popping after everything has arrived: the pop order is then
-        // decided entirely by the seeded scheduler, so two runs with the
-        // same seed must agree, and per-source order must stay FIFO.
-        let run = |seed: u64| {
-            let r = Spmd::builder()
-                .nprocs(6)
-                .cost(CostModel::cm5())
-                .deterministic(seed)
-                .run::<u64, _, _>(|node| {
-                    if node.rank() == 0 {
-                        std::thread::sleep(Duration::from_millis(100));
-                        let order = std::cell::RefCell::new(Vec::new());
-                        node.poll_until(
-                            "10 msgs",
-                            |_, env| order.borrow_mut().push((env.src, env.msg)),
-                            || order.borrow().len() == 10,
-                        );
-                        order.into_inner()
-                    } else {
-                        node.send(0, node.rank() as u64 * 10 + 1);
-                        node.send(0, node.rank() as u64 * 10 + 2);
-                        Vec::new()
-                    }
-                });
-            r.results[0].clone()
-        };
-        let a = run(7);
-        let b = run(7);
-        assert_eq!(a, b, "same seed must replay the same pop order");
-        for src in 1..=5usize {
-            let msgs: Vec<u64> = a.iter().filter(|(s, _)| *s == src).map(|(_, m)| *m).collect();
-            assert_eq!(
-                msgs,
-                vec![src as u64 * 10 + 1, src as u64 * 10 + 2],
-                "per-source FIFO must be preserved"
-            );
-        }
-    }
-
-    #[test]
     fn coalesced_traced_run_draws_one_flow_per_wire_message() {
-        // Five logical sends under FlushOnWait become one wire envelope:
+        // Five logical sends under an unreachable threshold become one
+        // wire envelope:
         // one Send event carrying subs=5, one flow arrow, one Recv.
         let r = Spmd::builder()
             .nprocs(2)
             .cost(CostModel::cm5())
             .trace(TraceConfig::on())
-            .coalesce(CoalescePolicy::FlushOnWait)
+            .coalesce(CoalescePolicy::Threshold(usize::MAX))
             .run::<u64, _, _>(|node| {
                 if node.rank() == 0 {
                     for i in 0..5 {
@@ -835,7 +766,7 @@ mod tests {
             .nprocs(2)
             .cost(CostModel::cm5())
             .transport(TransportKind::socket_loopback())
-            .coalesce(CoalescePolicy::FlushOnWait)
+            .coalesce(CoalescePolicy::Threshold(usize::MAX))
             .run::<u64, _, _>(|node| {
                 if node.rank() == 0 {
                     for i in 0..5 {
@@ -893,26 +824,20 @@ mod tests {
     }
 
     #[test]
-    fn socket_plus_deterministic_rejected_eagerly() {
-        let b = socket_builder().deterministic(7);
-        assert_eq!(b.validate(), Err(ConfigError::SocketDeterministic));
+    fn socket_plus_multiplexed_rejected_eagerly() {
+        let b = socket_builder().backend(ExecBackend::Multiplexed);
+        assert_eq!(b.validate(), Err(ConfigError::SocketMultiplexed));
         assert_eq!(
             b.try_run::<u64, _, _>(|_| ()).err(),
-            Some(ConfigError::SocketDeterministic),
+            Some(ConfigError::SocketMultiplexed),
             "try_run must reject before spawning anything"
         );
     }
 
     #[test]
     #[should_panic(expected = "invalid machine configuration")]
-    fn socket_plus_deterministic_panics_in_run() {
-        socket_builder().deterministic(7).run::<u64, _, _>(|_| ());
-    }
-
-    #[test]
-    fn socket_plus_multiplexed_rejected_eagerly() {
-        let b = socket_builder().backend(ExecBackend::Multiplexed);
-        assert_eq!(b.validate(), Err(ConfigError::SocketMultiplexed));
+    fn socket_plus_multiplexed_panics_in_run() {
+        socket_builder().backend(ExecBackend::Multiplexed).run::<u64, _, _>(|_| ());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! This is the original substrate, unchanged in behaviour: one unbounded
 //! channel per destination rank, a shared read-only sender table (so an
 //! `n`-node machine clones one `Arc` per node, not `n` senders), and the
-//! machine-wide [`FailBoard`] for fail-fast peer-death detection. All
+//! machine-wide `FailBoard` for fail-fast peer-death detection. All
 //! latency and bandwidth semantics live above this layer in the cost
 //! model; the channel itself is instantaneous.
 

@@ -30,10 +30,10 @@ pub use inproc::InProcTransport;
 pub use socket::{SockAddr, SocketCfg, SocketTransport, SOCKET_HEADER_BYTES, SOCKET_MAX_RANKS};
 
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use crate::envelope::{Wire, HEADER_BYTES};
-use crate::lockfree::LfCell;
 
 /// Why a non-blocking receive returned nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,11 +132,6 @@ impl TransportKind {
 /// exists — instead of letting it hang or diverge at runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `Socket` + `deterministic(seed)`: the seeded replay scheduler
-    /// ranks candidates it can only see deterministically in-process;
-    /// over real sockets the candidate set is OS-scheduling noise, so a
-    /// "deterministic" run would silently not be one.
-    SocketDeterministic,
     /// `Socket` + `ExecBackend::Multiplexed`: the slot gate multiplexes
     /// node threads of one process; a socket machine's ranks are meant to
     /// live in different processes, and its reader/writer threads would
@@ -170,11 +165,6 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::SocketDeterministic => write!(
-                f,
-                "the socket transport cannot honor deterministic(seed): \
-                 replay ordering is only meaningful in-process"
-            ),
             ConfigError::SocketMultiplexed => write!(
                 f,
                 "the socket transport requires ExecBackend::Threads: \
@@ -204,16 +194,16 @@ impl std::error::Error for ConfigError {}
 
 /// Machine-wide failure board shared by a backend's endpoints: the rank
 /// of the first node that died by panic (one atomic word, checked on
-/// every idle poll) plus its panic message (published lock-free, read
+/// every idle poll) plus its panic message (set once by the winner, read
 /// only after the flag trips).
 pub(crate) struct FailBoard {
     failed: AtomicIsize,
-    detail: LfCell<Option<String>>,
+    detail: OnceLock<String>,
 }
 
 impl FailBoard {
     pub(crate) fn new() -> Self {
-        FailBoard { failed: AtomicIsize::new(-1), detail: LfCell::new(None) }
+        FailBoard { failed: AtomicIsize::new(-1), detail: OnceLock::new() }
     }
 
     /// Record the first failure (first writer wins) with its diagnostic.
@@ -223,7 +213,8 @@ impl FailBoard {
             .compare_exchange(-1, rank as isize, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
         {
-            self.detail.store(Some(msg));
+            // Only the CAS winner gets here, so the set cannot lose.
+            let _ = self.detail.set(msg);
         }
     }
 
@@ -234,10 +225,7 @@ impl FailBoard {
     /// The recorded panic message, or empty if none has been published
     /// (the flag trips before the detail store lands).
     pub(crate) fn detail(&self) -> String {
-        match self.detail.load().as_ref() {
-            Some(msg) => msg.clone(),
-            None => String::new(),
-        }
+        self.detail.get().cloned().unwrap_or_default()
     }
 }
 
@@ -257,9 +245,50 @@ mod tests {
     }
 
     #[test]
+    fn fail_board_readers_see_only_the_winners_detail() {
+        // Writers race `record` while readers spin on `detail()`: a read
+        // is either empty (the flag tripped, the detail has not landed) or
+        // exactly the winner's message, never a loser's or a torn one.
+        let b = FailBoard::new();
+        let start = std::sync::Barrier::new(8);
+        let reads: Vec<Vec<String>> = std::thread::scope(|s| {
+            for rank in 0..4usize {
+                let (b, start) = (&b, &start);
+                s.spawn(move || {
+                    start.wait();
+                    b.record(rank, format!("rank {rank} died"));
+                });
+            }
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    let (b, start) = (&b, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let mut seen = Vec::new();
+                        for _ in 0..10_000 {
+                            let d = b.detail();
+                            if !d.is_empty() {
+                                seen.push(d);
+                            }
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let winner = b.failed_rank();
+        assert!((0..4).contains(&winner), "failed_rank {winner} names no writer");
+        let expected = format!("rank {winner} died");
+        assert_eq!(b.detail(), expected);
+        for d in reads.iter().flatten() {
+            assert_eq!(d, &expected);
+        }
+    }
+
+    #[test]
     fn config_errors_explain_themselves() {
         for (e, needle) in [
-            (ConfigError::SocketDeterministic, "deterministic"),
             (ConfigError::SocketMultiplexed, "Threads"),
             (ConfigError::SocketRanks { nprocs: 128, max: 64 }, "at most 64"),
             (ConfigError::SpawnRankNeedsSocket, "spawn_rank"),

@@ -28,7 +28,7 @@
 //! in-process backend: a panicking node broadcasts a `Failed` frame
 //! (rank + panic message) to every peer before closing, and an endpoint
 //! whose connection dies *without* a `Goodbye` frame records the peer as
-//! failed — both land on the machine-wide [`FailBoard`] that
+//! failed — both land on the machine-wide `FailBoard` that
 //! `Node::check_peers` polls.
 
 use std::cell::{Cell, RefCell};
@@ -492,7 +492,7 @@ enum Out<M> {
 }
 
 /// One rank's endpoint on a socket machine. Construction
-/// ([`SocketTransport::establish`]) performs the full bootstrap described
+/// (`SocketTransport::establish`) performs the full bootstrap described
 /// in the module docs; afterwards the endpoint is driven entirely by the
 /// owning node thread plus its per-peer I/O threads.
 pub struct SocketTransport<M> {

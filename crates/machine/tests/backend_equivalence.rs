@@ -1,9 +1,8 @@
 //! Machine-level checks that the multiplexed backend preserves the
-//! substrate's contracts at scale: the deterministic inbox scheduler
-//! replays beyond the 64-rank single-word fast path, failure detection
-//! still names the culprit promptly when nodes share a worker pool, no
-//! wakeup is lost between a send and an idle receiver, and a machine at
-//! the 4096-node ceiling constructs and tears down.
+//! substrate's contracts at scale: failure detection still names the
+//! culprit promptly when nodes share a worker pool, no wakeup is lost
+//! between a send and an idle receiver, and a machine at the 4096-node
+//! ceiling constructs and tears down.
 
 use std::cell::Cell;
 use std::sync::Mutex;
@@ -12,61 +11,8 @@ use std::time::{Duration, Instant};
 use ace_machine::{CostModel, ExecBackend, Spmd};
 
 /// The tests here spawn hundreds-to-thousands of node threads each; run
-/// concurrently they starve one another (and the replay test's
-/// everything-arrives-before-the-first-pop grace period is a timing
-/// assumption), so they take turns.
+/// concurrently they starve one another, so they take turns.
 static SERIAL: Mutex<()> = Mutex::new(());
-
-#[test]
-fn deterministic_replay_at_256_nodes_multiplexed() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // 255 senders race two messages each at node 0, which only starts
-    // popping after everything has arrived, so the pop order is decided
-    // entirely by the seeded scheduler. At 256 ranks the scheduler's
-    // seen-set spills past its single-word bitmap, and under the
-    // multiplexed backend arrival interleavings are governed by slot
-    // handoffs rather than the OS — neither may leak into the replay.
-    let n = 256usize;
-    let run = |seed: u64| {
-        let r = Spmd::builder()
-            .nprocs(n)
-            .cost(CostModel::cm5())
-            .deterministic(seed)
-            .backend(ExecBackend::Multiplexed)
-            .run::<u64, _, _>(|node| {
-                if node.rank() == 0 {
-                    // Give every sender time to drain through the slot
-                    // gate before the first pop: the replay is only
-                    // fully seed-determined once everything is queued.
-                    std::thread::sleep(Duration::from_millis(750));
-                    let order = std::cell::RefCell::new(Vec::new());
-                    let want = (n - 1) * 2;
-                    node.poll_until(
-                        "all raced msgs",
-                        |_, env| order.borrow_mut().push((env.src, env.msg)),
-                        || order.borrow().len() == want,
-                    );
-                    order.into_inner()
-                } else {
-                    node.send(0, node.rank() as u64 * 10 + 1);
-                    node.send(0, node.rank() as u64 * 10 + 2);
-                    Vec::new()
-                }
-            });
-        r.results[0].clone()
-    };
-    let a = run(41);
-    let b = run(41);
-    assert_eq!(a, b, "same seed must replay the same pop order");
-    for src in 1..n {
-        let msgs: Vec<u64> = a.iter().filter(|(s, _)| *s == src).map(|(_, m)| *m).collect();
-        assert_eq!(
-            msgs,
-            vec![src as u64 * 10 + 1, src as u64 * 10 + 2],
-            "per-source FIFO must be preserved"
-        );
-    }
-}
 
 #[test]
 #[should_panic(expected = "node 1 panicked: boom")]
@@ -75,7 +21,7 @@ fn peer_death_is_detected_under_multiplexing() {
     // Node 1 crashes while node 0 blocks in a receive wait. The waiter
     // yields its slot while parked, so the death must still be noticed
     // promptly — well under the watchdog — and the propagated panic must
-    // name the crashing node via the lock-free failure cell, not the
+    // name the crashing node via the shared failure board, not the
     // innocent waiter.
     let start = Instant::now();
     let r = std::panic::catch_unwind(|| {

@@ -1,61 +1,80 @@
-//! Batched message drain must be observationally identical to unbatched
-//! reception: same per-pair FIFO order, same per-message virtual-clock
-//! arrival times, same statistics. The drain is a wall-clock optimization
+//! The burst drain must be observationally identical to absorbing each
+//! message as it is popped: same per-pair FIFO order, same per-message
+//! virtual-clock arrival times. The drain is a wall-clock optimization
 //! only — it pulls messages off the channel in bursts but absorbs each one
-//! at pop time, exactly where the unbatched path absorbed it.
+//! at pop time, so the receiver's clocks follow a closed form.
 
 use std::cell::{Cell, RefCell};
 
-use ace_machine::{CostModel, Spmd};
+use ace_machine::{CostModel, Spmd, HEADER_BYTES};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// One sender (rank 0) emits `sends` with compute charges between them;
-/// the receiver (rank 1) charges from `recv_charges` after each receipt.
-/// With a single sender the receiver's observation — each message and the
-/// virtual clock right after it is absorbed — is fully deterministic, so
-/// two runs that differ only in drain batch size must agree exactly.
-fn run_scenario(batch: usize, sends: &[(u64, u64)], recv_charges: &[u64]) -> Vec<(u64, u64)> {
-    let r = Spmd::builder().nprocs(2).cost(CostModel::cm5()).drain_batch(batch).run::<u64, _, _>(
-        |node| {
-            if node.rank() == 0 {
-                for &(m, charge) in sends {
-                    node.charge(charge);
-                    node.send(1, m);
-                }
-                Vec::new()
-            } else {
-                let seen = RefCell::new(Vec::new());
-                let i = Cell::new(0usize);
-                node.poll_until(
-                    "scenario messages",
-                    |n, env| {
-                        n.charge(recv_charges[i.get() % recv_charges.len()]);
-                        i.set(i.get() + 1);
-                        seen.borrow_mut().push((env.msg, n.now()));
-                    },
-                    || seen.borrow().len() == sends.len(),
-                );
-                seen.into_inner()
+/// One sender (rank 0) emits `sends` with compute charges before each;
+/// the receiver (rank 1) records each message with its clock right after
+/// the absorb, then charges from `recv_charges`. Returns the receiver's
+/// observations.
+fn run_scenario(cost: &CostModel, sends: &[(u64, u64)], recv_charges: &[u64]) -> Vec<(u64, u64)> {
+    let r = Spmd::builder().nprocs(2).cost(cost.clone()).run::<u64, _, _>(|node| {
+        if node.rank() == 0 {
+            for &(m, charge) in sends {
+                node.charge(charge);
+                node.send(1, m);
             }
-        },
-    );
+            Vec::new()
+        } else {
+            let seen = RefCell::new(Vec::new());
+            let i = Cell::new(0usize);
+            node.poll_until(
+                "scenario messages",
+                |n, env| {
+                    seen.borrow_mut().push((env.msg, n.now()));
+                    n.charge(recv_charges[i.get() % recv_charges.len()]);
+                    i.set(i.get() + 1);
+                },
+                || seen.borrow().len() == sends.len(),
+            );
+            seen.into_inner()
+        }
+    });
     let mut out = r.results;
     out.swap_remove(1)
+}
+
+/// The absorb-at-pop model: the sender's clock after its k-th send is
+/// `send_k`, and the receiver's clock after absorbing message k is
+/// `clock_k = max(clock_{k-1} + charge_{k-1}, send_k + wire_time(bytes))
+/// + recv_overhead`, starting from zero.
+fn absorb_at_pop_model(
+    cost: &CostModel,
+    sends: &[(u64, u64)],
+    recv_charges: &[u64],
+) -> Vec<(u64, u64)> {
+    let flight = cost.wire_time(8 + HEADER_BYTES);
+    let (mut send_k, mut ready) = (0u64, 0u64);
+    sends
+        .iter()
+        .enumerate()
+        .map(|(k, &(m, charge))| {
+            send_k += charge + cost.send_overhead;
+            let clock_k = ready.max(send_k + flight) + cost.recv_overhead;
+            ready = clock_k + recv_charges[k % recv_charges.len()];
+            (m, clock_k)
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn batched_drain_matches_unbatched_exactly(
-        sends in vec((1u64..1_000_000, 0u64..5_000), 1..40),
+    fn drain_matches_absorb_at_pop_model(
+        sends in vec((1u64..1_000_000, 0u64..5_000), 1..150),
         recv_charges in vec(0u64..3_000, 1..8),
-        batch in 2u64..100,
     ) {
-        let unbatched = run_scenario(1, &sends, &recv_charges);
-        let batched = run_scenario(batch as usize, &sends, &recv_charges);
-        prop_assert_eq!(unbatched, batched);
+        let cost = CostModel::cm5();
+        let observed = run_scenario(&cost, &sends, &recv_charges);
+        prop_assert_eq!(observed, absorb_at_pop_model(&cost, &sends, &recv_charges));
     }
 }
 

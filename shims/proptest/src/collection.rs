@@ -5,7 +5,7 @@ use std::ops::Range;
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Acceptable element-count specifications for [`vec`]: an exact `usize`
+/// Acceptable element-count specifications for [`vec()`]: an exact `usize`
 /// or a half-open `Range<usize>`.
 #[derive(Clone, Debug)]
 pub struct SizeRange(Range<usize>);
@@ -22,7 +22,7 @@ impl From<Range<usize>> for SizeRange {
     }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,
